@@ -1,0 +1,41 @@
+package main
+
+import (
+	"math"
+	"sort"
+)
+
+// percentile returns the q-quantile (0..1) of xs by linear
+// interpolation between closest ranks; 0 for no samples.
+func percentile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+}
+
+func median(xs []float64) float64 { return percentile(xs, 0.5) }
+
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	t := 0.0
+	for _, x := range xs {
+		t += x
+	}
+	return t / float64(len(xs))
+}
+
+// ratio returns a/b, or 0 when b is 0.
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
