@@ -77,19 +77,24 @@ type FairConfig struct {
 type FairPolicy struct {
 	cfg FairConfig
 
-	userSched map[job.UserID]*stride.Scheduler
-	backfill  *stride.Scheduler
-	credit    map[job.UserID]fairshare.Entitlement
-	jobUser   map[job.ID]job.UserID
+	// users holds one record per active user; a departed user's is
+	// dropped, so a returning user starts with no credit and every
+	// job rejoins the user's stride pool.
+	users map[job.UserID]*userState
 
-	round     int
+	// jobs holds one record per job the policy has seen, dropped by
+	// JobFinished. Decide looks each runnable job up once per round.
+	jobs map[job.ID]*jobState
+
+	round     int32           // see jobState
 	noMigrate bool            // engine refuses migrations this run
 	pinned    map[job.ID]bool // jobs in migration-failure backoff this round
-	lastMig   map[job.ID]int  // round of the job's last generation change
 
-	// pending maps jobs scheduled this round to their charging info,
-	// consumed by Executed.
-	pending map[job.ID]chargeInfo
+	// charges lists the jobs scheduled since the last Executed, in
+	// scheduling order; Executed settles and drops them. It lives for
+	// one round and is allocated at the size of the last one.
+	charges    []charge
+	lastCharge int
 
 	// waterfill memoizes the non-debt water-fill across rounds: most
 	// rounds repeat the previous round's tickets/demand/capacity, so
@@ -97,12 +102,46 @@ type FairPolicy struct {
 	waterfill *fairshare.AllocationSolver
 }
 
-type chargeInfo struct {
-	user       job.UserID
+// userState is the policy's record of one active user.
+type userState struct {
+	credit fairshare.Entitlement // deficit credits per generation
+}
+
+// jobState is the policy's record of one job, everything it keeps
+// about the job across rounds. Records are most of the policy's heap;
+// int32 round numbers keep one at 48 bytes.
+type jobState struct {
+	// The job's passes in its user's stride pool and in the global
+	// backfill pool. userPass is valid only while owner is the user's
+	// current record: a user who departs and returns starts a fresh
+	// pool.
+	owner    *userState
+	userPass stride.Pass
+	bfPass   stride.Pass
+
+	lastMig int32 // round of the job's last generation change
+	round   int32 // last round the job was scheduled in; -1 once finished
+}
+
+// charge is what Executed settles for one scheduled job: charge its
+// passes for what ran, or refund the credit it was funded from.
+type charge struct {
+	id         job.ID
+	s          *jobState
 	gen        gpu.Generation
 	gang       int
 	jobTickets float64
+	round      int32 // the round it was scheduled in
 	viaCredit  bool
+}
+
+// roundJob is one runnable job as Decide sees it this round: the job,
+// its record, and the generation it last ran on.
+type roundJob struct {
+	j       *job.Job
+	s       *jobState
+	prev    gpu.Generation
+	hasPrev bool
 }
 
 // NewFairPolicy constructs the policy.
@@ -130,12 +169,8 @@ func NewFairPolicy(cfg FairConfig) (*FairPolicy, error) {
 	}
 	return &FairPolicy{
 		cfg:       cfg,
-		userSched: make(map[job.UserID]*stride.Scheduler),
-		backfill:  stride.New(stride.GangAware),
-		credit:    make(map[job.UserID]fairshare.Entitlement),
-		jobUser:   make(map[job.ID]job.UserID),
-		lastMig:   make(map[job.ID]int),
-		pending:   make(map[job.ID]chargeInfo),
+		users:     make(map[job.UserID]*userState),
+		jobs:      make(map[job.ID]*jobState),
 		waterfill: fairshare.NewAllocationSolver(),
 	}, nil
 }
@@ -157,10 +192,11 @@ func (p *FairPolicy) Name() string {
 	return "gandiva-fair-no-trade"
 }
 
-// Decide implements Policy.
+// Decide implements Policy. Selection costs O(J log J) for J runnable
+// jobs: one record lookup per job, one stride sort per user and per
+// backfilled generation, and user values computed once.
 func (p *FairPolicy) Decide(st *RoundState) Decision {
-	byUser := groupByUser(st.Jobs)
-	users := sortedUsers(byUser)
+	users, byUser := p.groupByUser(st)
 	caps := st.CapacityByGen()
 
 	// 1. Fair share.
@@ -172,9 +208,11 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	demand := make(map[job.UserID]float64, len(byUser))
 	jobsPer := make(map[job.UserID]int, len(byUser))
 	for u, js := range byUser {
-		for _, j := range js {
-			demand[u] += float64(j.Gang)
+		var d float64
+		for i := range js {
+			d += float64(js[i].j.Gang)
 		}
+		demand[u] = d
 		jobsPer[u] = len(js)
 	}
 	// Solve is memoized (fairshare.AllocationSolver); the result is
@@ -206,11 +244,14 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	}
 	st.Obs.PhaseEnd(obs.PhaseWaterfill)
 
-	// 2. Trading.
+	// 2. Trading. The user values also order each user's generations
+	// in selection, so they are computed once either way.
 	var trades []trade.Trade
 	if p.cfg.EnableTrading {
 		st.Obs.PhaseStart(obs.PhaseTrade)
-		vals := p.userValues(st, byUser)
+	}
+	vals := p.userValues(st, byUser)
+	if p.cfg.EnableTrading {
 		adjusted, log, err := trade.Run(alloc, vals, demand, p.cfg.Trade)
 		if err == nil {
 			alloc = adjusted
@@ -220,18 +261,18 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	}
 
 	// 3. Accrue credits; drop departed users; cap per generation.
-	for u := range p.credit {
+	for u := range p.users {
 		if _, active := byUser[u]; !active {
-			delete(p.credit, u)
-			delete(p.userSched, u)
+			delete(p.users, u)
 		}
 	}
 	for _, u := range users {
-		c := p.credit[u]
-		if c == nil {
-			c = fairshare.Entitlement{}
-			p.credit[u] = c
+		us := p.users[u]
+		if us == nil {
+			us = &userState{credit: fairshare.Entitlement{}}
+			p.users[u] = us
 		}
+		c := us.credit
 		for g, e := range alloc[u] {
 			c[g] += e
 			if limit := float64(caps[g]); c[g] > limit {
@@ -242,37 +283,37 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 
 	// 4. Selection.
 	p.round++
+	if p.charges == nil {
+		p.charges = make([]charge, 0, p.lastCharge)
+	}
 	p.noMigrate = st.MigrationDisabled
 	p.pinned = st.Pinned
 	jobTickets := fairshare.JobTickets(tickets, jobsPer)
-	remaining := make(map[gpu.Generation]int, len(caps))
+	var remaining [gpu.NumGenerations]int
 	for g, c := range caps {
 		remaining[g] = c
 	}
-	scheduled := make(map[job.ID]bool)
 	var run []placement.Request
 
-	schedule := func(u job.UserID, j *job.Job, g gpu.Generation, viaCredit bool) {
-		scheduled[j.ID] = true
+	schedule := func(rj *roundJob, g gpu.Generation, jt float64, viaCredit bool) {
+		j, s := rj.j, rj.s
+		s.round = p.round
 		remaining[g] -= j.Gang
+		credit := s.owner.credit
 		if viaCredit {
 			if st.Obs != nil {
-				before := p.credit[u][g]
+				before := credit[g]
 				st.Obs.NoteChoice(int64(j.ID), "credit", before, before-float64(j.Gang))
 			}
-			p.credit[u][g] -= float64(j.Gang)
+			credit[g] -= float64(j.Gang)
 		} else if st.Obs != nil {
-			c := p.credit[u][g]
+			c := credit[g]
 			st.Obs.NoteChoice(int64(j.ID), "backfill", c, c)
 		}
-		if prev, ok := st.PrevGen[j.ID]; ok && prev != g {
-			p.lastMig[j.ID] = p.round
+		if rj.hasPrev && rj.prev != g {
+			s.lastMig = p.round
 		}
-		p.jobUser[j.ID] = u
-		p.pending[j.ID] = chargeInfo{
-			user: u, gen: g, gang: j.Gang,
-			jobTickets: jobTickets[u], viaCredit: viaCredit,
-		}
+		p.charges = append(p.charges, charge{id: j.ID, s: s, round: p.round, gen: g, gang: j.Gang, jobTickets: jt, viaCredit: viaCredit})
 		run = append(run, placement.Request{Job: j, Gen: g})
 	}
 
@@ -288,20 +329,30 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	serveOrder := make([]job.UserID, len(users))
 	copy(serveOrder, users)
 	sort.SliceStable(serveOrder, func(i, k int) bool {
-		ci, ck := p.credit[serveOrder[i]].Total(), p.credit[serveOrder[k]].Total()
+		ci, ck := p.users[serveOrder[i]].credit.Total(), p.users[serveOrder[k]].credit.Total()
 		if ci != ck {
 			return ci > ck
 		}
 		return serveOrder[i] < serveOrder[k]
 	})
 	for _, u := range serveOrder {
-		sched := p.schedFor(u)
-		pref := p.genPreference(st, byUser[u], caps)
-		for _, id := range sched.Order(candidates(byUser[u], jobTickets[u])) {
-			j := findJob(byUser[u], id)
-			g, ok := p.pickGen(j, st.PrevGen, pref, remaining, true)
-			if ok {
-				schedule(u, j, g, true)
+		js := byUser[u]
+		us := p.users[u]
+		pref := genPreference(vals, u, caps)
+		jt := jobTickets[u]
+		cands := make([]stride.Candidate, len(js))
+		passes := make([]*stride.Pass, len(js))
+		for i := range js {
+			s := js[i].s
+			if s.owner != us {
+				s.owner, s.userPass = us, stride.Pass{}
+			}
+			cands[i] = stride.Candidate{ID: js[i].j.ID, Gang: js[i].j.Gang, Tickets: jt}
+			passes[i] = &s.userPass
+		}
+		for _, i := range stride.OrderPasses(cands, passes) {
+			if g, ok := p.pickGen(&js[i], us.credit, pref, &remaining); ok {
+				schedule(&js[i], g, jt, true)
 			}
 		}
 	}
@@ -314,54 +365,55 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 			continue
 		}
 		var cands []stride.Candidate
-		var pool []*job.Job
+		var passes []*stride.Pass
+		var pool []*roundJob
 		for _, u := range users {
-			for _, j := range byUser[u] {
-				if scheduled[j.ID] || !j.Perf.FitsOn(g) {
+			js, jt := byUser[u], jobTickets[u]
+			for i := range js {
+				rj := &js[i]
+				if rj.s.round == p.round || !rj.j.Perf.FitsOn(g) {
 					continue
 				}
 				// Backfill uses a short cooldown: moving an otherwise
 				// idle job onto idle capacity is a one-way move, not
 				// thrash, so only back-to-back flapping is blocked.
-				if !p.genAllowedWithin(j, st.PrevGen, g, backfillCooldown) {
+				if !p.genAllowedWithin(rj, g, backfillCooldown) {
 					continue
 				}
-				cands = append(cands, stride.Candidate{ID: j.ID, Gang: j.Gang, Tickets: jobTickets[u]})
-				pool = append(pool, j)
+				cands = append(cands, stride.Candidate{ID: rj.j.ID, Gang: rj.j.Gang, Tickets: jt})
+				passes = append(passes, &rj.s.bfPass)
+				pool = append(pool, rj)
 			}
 		}
 		if len(cands) == 0 {
 			continue
 		}
-		for _, id := range p.backfill.Select(cands, remaining[g]) {
-			j := findJob(pool, id)
-			schedule(j.User, j, g, false)
+		for _, i := range stride.SelectPasses(stride.GangAware, cands, passes, remaining[g]) {
+			schedule(pool[i], g, cands[i].Tickets, false)
 		}
 	}
 
 	return Decision{Run: run, Trades: trades, Repaid: repaid}
 }
 
-// pickGen chooses the generation to fund a job from. Preference
+// pickGen chooses the generation to fund a job from credit. Preference
 // order: the job's previous generation (no migration), then the
 // user's preferred generations, each requiring the job to fit,
-// sufficient credit (when viaCredit), remaining capacity, and the
-// migration cooldown for generation changes.
-func (p *FairPolicy) pickGen(j *job.Job, prevGen map[job.ID]gpu.Generation, pref []gpu.Generation, remaining map[gpu.Generation]int, viaCredit bool) (gpu.Generation, bool) {
+// sufficient credit, remaining capacity, and the migration cooldown
+// for generation changes.
+func (p *FairPolicy) pickGen(rj *roundJob, credit fairshare.Entitlement, pref []gpu.Generation, remaining *[gpu.NumGenerations]int) (gpu.Generation, bool) {
+	j := rj.j
 	try := func(g gpu.Generation) bool {
 		if !j.Perf.FitsOn(g) || remaining[g] < j.Gang {
 			return false
 		}
-		if viaCredit {
-			c := p.credit[j.User]
-			if c == nil || c[g] < float64(j.Gang)-1e-9 {
-				return false
-			}
+		if credit == nil || credit[g] < float64(j.Gang)-1e-9 {
+			return false
 		}
-		return p.genAllowed(j, prevGen, g)
+		return p.genAllowedWithin(rj, g, p.cfg.MigrationCooldown)
 	}
-	if prev, ok := prevGen[j.ID]; ok && try(prev) {
-		return prev, true
+	if rj.hasPrev && try(rj.prev) {
+		return rj.prev, true
 	}
 	for _, g := range pref {
 		if try(g) {
@@ -375,100 +427,118 @@ func (p *FairPolicy) pickGen(j *job.Job, prevGen map[job.ID]gpu.Generation, pref
 // the backfill pass (see Decide).
 const backfillCooldown = 2
 
-// genAllowed enforces the migration cooldown: a job may change
+// genAllowedWithin enforces a migration cooldown: a job may change
 // generation only if it has not changed within the last cooldown
 // rounds.
-func (p *FairPolicy) genAllowed(j *job.Job, prevGen map[job.ID]gpu.Generation, g gpu.Generation) bool {
-	return p.genAllowedWithin(j, prevGen, g, p.cfg.MigrationCooldown)
-}
-
-func (p *FairPolicy) genAllowedWithin(j *job.Job, prevGen map[job.ID]gpu.Generation, g gpu.Generation, cooldown int) bool {
-	prev, ok := prevGen[j.ID]
-	if !ok || prev == g {
+func (p *FairPolicy) genAllowedWithin(rj *roundJob, g gpu.Generation, cooldown int) bool {
+	if !rj.hasPrev || rj.prev == g {
 		return true
 	}
-	if p.noMigrate || p.pinned[j.ID] {
+	if p.noMigrate || p.pinned[rj.j.ID] {
 		return false
 	}
-	return p.round-p.lastMig[j.ID] >= cooldown
+	return int(p.round-rj.s.lastMig) >= cooldown
 }
 
 // Executed implements Policy: charge stride pass for what actually
 // ran and refund credits for capacity not consumed (unplaced jobs,
 // early finishers).
 func (p *FairPolicy) Executed(rep *ExecReport) {
-	for id, ci := range p.pending {
-		info, ran := rep.Ran[id]
+	for _, c := range p.charges {
+		s := c.s
+		if s.round != c.round {
+			continue // finished since, or scheduled again by a later Decide
+		}
+		info, ran := rep.Ran[c.id]
 		if !ran {
 			// Fragmentation left it unplaced: full refund.
-			if ci.viaCredit {
-				p.refund(ci, float64(ci.gang))
+			if c.viaCredit {
+				s.owner.credit[c.gen] += float64(c.gang)
 			}
 			continue
 		}
-		res := float64(ci.gang) * info.OccupiedSecs
-		if ci.jobTickets > 0 {
-			if s := p.userSched[ci.user]; s != nil && s.Has(id) {
-				s.Charge(id, res, ci.jobTickets)
+		res := float64(c.gang) * info.OccupiedSecs
+		if c.jobTickets > 0 {
+			if s.userPass.Joined() {
+				s.userPass.Charge(res, c.jobTickets)
 			}
-			if p.backfill.Has(id) {
-				p.backfill.Charge(id, res, ci.jobTickets)
+			if s.bfPass.Joined() {
+				s.bfPass.Charge(res, c.jobTickets)
 			}
 		}
 	}
-	p.pending = make(map[job.ID]chargeInfo)
+	p.lastCharge = len(p.charges)
+	p.charges = nil
 }
 
-// JobFinished implements Policy.
+// JobFinished implements Policy: the job's record, passes included,
+// goes.
 func (p *FairPolicy) JobFinished(id job.ID) {
-	if u, ok := p.jobUser[id]; ok {
-		if s := p.userSched[u]; s != nil {
-			s.Remove(id)
-		}
-		delete(p.jobUser, id)
+	if s := p.jobs[id]; s != nil {
+		s.round = -1
+		delete(p.jobs, id)
 	}
-	p.backfill.Remove(id)
-	delete(p.pending, id)
-	delete(p.lastMig, id)
 }
 
 // Credit exposes a user's current deficit credits (for tests and
 // debugging).
 func (p *FairPolicy) Credit(u job.UserID) fairshare.Entitlement {
-	return p.credit[u].Clone()
+	var c fairshare.Entitlement
+	if us := p.users[u]; us != nil {
+		c = us.credit
+	}
+	return c.Clone()
 }
 
-func (p *FairPolicy) refund(ci chargeInfo, amount float64) {
-	c := p.credit[ci.user]
-	if c == nil {
-		return
+// groupByUser splits the runnable jobs by user, each user's in ID
+// order, looking up (or creating) every job's record once. It returns
+// the users sorted.
+func (p *FairPolicy) groupByUser(st *RoundState) ([]job.UserID, map[job.UserID][]roundJob) {
+	count := make(map[job.UserID]int)
+	for _, j := range st.Jobs {
+		count[j.User]++
 	}
-	c[ci.gen] += amount
-}
-
-func (p *FairPolicy) schedFor(u job.UserID) *stride.Scheduler {
-	s := p.userSched[u]
-	if s == nil {
-		s = stride.New(stride.GangAware)
-		p.userSched[u] = s
+	users := make([]job.UserID, 0, len(count))
+	for u := range count {
+		users = append(users, u)
 	}
-	return s
+	sort.Slice(users, func(i, k int) bool { return users[i] < users[k] })
+	all := make([]roundJob, len(st.Jobs))
+	byUser := make(map[job.UserID][]roundJob, len(users))
+	off := 0
+	for _, u := range users {
+		byUser[u] = all[off : off : off+count[u]]
+		off += count[u]
+	}
+	for _, j := range st.Jobs {
+		s := p.jobs[j.ID]
+		if s == nil {
+			s = &jobState{}
+			p.jobs[j.ID] = s
+		}
+		rj := roundJob{j: j, s: s}
+		rj.prev, rj.hasPrev = st.PrevGen[j.ID]
+		byUser[j.User] = append(byUser[j.User], rj)
+	}
+	return users, byUser
 }
 
 // userValues builds the trading value vectors: gang-weighted speedup
 // of each generation over the oldest generation the job has an
 // estimate on, across the user's runnable jobs.
-func (p *FairPolicy) userValues(st *RoundState, byUser map[job.UserID][]*job.Job) trade.Values {
+func (p *FairPolicy) userValues(st *RoundState, byUser map[job.UserID][]roundJob) trade.Values {
 	gens := st.Cluster.GensPresent()
 	vals := make(trade.Values, len(byUser))
 	for u, js := range byUser {
 		var num, den [gpu.NumGenerations]float64
-		for _, j := range js {
+		for i := range js {
+			j := js[i].j
+			rate, n := st.Prof.Estimates(j.ID)
 			base := gpu.Generation(-1)
 			var baseRate float64
 			for _, g := range gens {
-				if r, ok := st.Prof.Rate(j.ID, g); ok && st.Prof.Samples(j.ID, g) >= p.cfg.MinSamples {
-					base, baseRate = g, r
+				if n[g] > 0 && n[g] >= p.cfg.MinSamples {
+					base, baseRate = g, rate[g]
 					break
 				}
 			}
@@ -477,8 +547,8 @@ func (p *FairPolicy) userValues(st *RoundState, byUser map[job.UserID][]*job.Job
 			}
 			w := float64(j.Gang)
 			for _, g := range gens {
-				if r, ok := st.Prof.Rate(j.ID, g); ok && st.Prof.Samples(j.ID, g) >= p.cfg.MinSamples {
-					num[g] += w * r / baseRate
+				if n[g] > 0 && n[g] >= p.cfg.MinSamples {
+					num[g] += w * rate[g] / baseRate
 					den[g] += w
 				}
 			}
@@ -500,13 +570,9 @@ func (p *FairPolicy) userValues(st *RoundState, byUser map[job.UserID][]*job.Job
 
 // genPreference orders generations for a user: profiled value per GPU
 // descending (run where your jobs gain most), newest first on ties.
-func (p *FairPolicy) genPreference(st *RoundState, js []*job.Job, caps map[gpu.Generation]int) []gpu.Generation {
+func genPreference(vals trade.Values, u job.UserID, caps map[gpu.Generation]int) []gpu.Generation {
 	gens := gensDesc(caps)
-	if len(js) == 0 {
-		return gens
-	}
-	vals := p.userValues(st, map[job.UserID][]*job.Job{js[0].User: js})
-	v, ok := vals[js[0].User]
+	v, ok := vals[u]
 	if !ok {
 		return gens
 	}
@@ -520,23 +586,6 @@ func (p *FairPolicy) genPreference(st *RoundState, js []*job.Job, caps map[gpu.G
 	return gens
 }
 
-func groupByUser(jobs []*job.Job) map[job.UserID][]*job.Job {
-	m := make(map[job.UserID][]*job.Job)
-	for _, j := range jobs {
-		m[j.User] = append(m[j.User], j)
-	}
-	return m
-}
-
-func sortedUsers(m map[job.UserID][]*job.Job) []job.UserID {
-	users := make([]job.UserID, 0, len(m))
-	for u := range m {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	return users
-}
-
 // gensDesc returns the present generations newest first.
 func gensDesc(caps map[gpu.Generation]int) []gpu.Generation {
 	gens := make([]gpu.Generation, 0, len(caps))
@@ -545,21 +594,4 @@ func gensDesc(caps map[gpu.Generation]int) []gpu.Generation {
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
 	return gens
-}
-
-func candidates(js []*job.Job, tickets float64) []stride.Candidate {
-	out := make([]stride.Candidate, len(js))
-	for i, j := range js {
-		out[i] = stride.Candidate{ID: j.ID, Gang: j.Gang, Tickets: tickets}
-	}
-	return out
-}
-
-func findJob(js []*job.Job, id job.ID) *job.Job {
-	for _, j := range js {
-		if j.ID == id {
-			return j
-		}
-	}
-	panic(fmt.Sprintf("core: selected job %d not in candidate pool", id))
 }

@@ -107,6 +107,16 @@ func (p *Profiler) Rate(id job.ID, g gpu.Generation) (float64, bool) {
 	return r.rate[g], true
 }
 
+// Estimates returns job id's rate estimates and observation counts on
+// every generation with one lookup; both are zero for an unknown job.
+// rate[g] is meaningful only where samples[g] > 0.
+func (p *Profiler) Estimates(id job.ID) (rate [gpu.NumGenerations]float64, samples [gpu.NumGenerations]int) {
+	if r := p.recs[id]; r != nil {
+		return r.rate, r.samples
+	}
+	return rate, samples
+}
+
 // Samples returns the observation count for (id, g).
 func (p *Profiler) Samples(id job.ID, g gpu.Generation) int {
 	r := p.recs[id]

@@ -123,13 +123,9 @@ func (s *Classed) Select(cands []Candidate, capacity int) []job.ID {
 				rest = append(rest, c)
 			}
 		}
-		for _, id := range s.inner.Select(rest, remaining) {
-			for _, c := range rest {
-				if c.ID == id {
-					gangOf[id] = c.Gang
-				}
-			}
-			out = append(out, id)
+		for _, i := range s.inner.SelectPositions(rest, remaining) {
+			gangOf[rest[i].ID] = rest[i].Gang
+			out = append(out, rest[i].ID)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -26,8 +26,9 @@
 package stride
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/job"
 )
@@ -62,33 +63,173 @@ type Candidate struct {
 	Tickets float64 // share weight for this job (user tickets / user's job count)
 }
 
-// Scheduler holds per-job pass state across rounds. It is not safe
-// for concurrent use; the simulation core drives it from one
-// goroutine.
+// Pass is one job's stride state in one scheduling pool. The zero
+// value is a job that has not joined the pool; it joins at the minimum
+// pass of the candidates it is first ordered with. A Scheduler keeps a
+// Pass per job in a map; a caller that already keeps a record per job
+// can hold the Pass there and call OrderPasses and SelectPasses
+// directly, with no map access at all.
+type Pass struct {
+	value  float64
+	joined bool
+}
+
+// Joined reports whether the job has joined the pool.
+func (p *Pass) Joined() bool { return p.joined }
+
+// Charge advances the pass by the resources the job consumed this
+// round: gang-GPU-seconds divided by its tickets. Charging a job that
+// has not joined, non-positive tickets, or negative resources panics —
+// those are core bugs, not runtime conditions.
+func (p *Pass) Charge(gpuSeconds, tickets float64) {
+	if !p.joined {
+		panic("stride: Charge before the job joined")
+	}
+	if tickets <= 0 {
+		panic(fmt.Sprintf("stride: Charge with tickets %v", tickets))
+	}
+	if gpuSeconds < 0 {
+		panic(fmt.Sprintf("stride: Charge with negative resources %v", gpuSeconds))
+	}
+	p.value += gpuSeconds / tickets
+}
+
+// key is one candidate's sort key: everything the priority order
+// compares, copied out of its Pass so sorting chases no pointers.
+type key struct {
+	pass float64
+	gang int
+	id   job.ID
+	pos  int
+}
+
+// compareKeys is the scheduling priority order: increasing pass, then
+// larger gang, then lower ID. IDs are unique, so it is a strict total
+// order and every correct sort yields the same permutation.
+func compareKeys(a, b key) int {
+	if a.pass != b.pass {
+		if a.pass < b.pass {
+			return -1
+		}
+		return 1
+	}
+	if a.gang != b.gang {
+		return cmp.Compare(b.gang, a.gang)
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// OrderPasses joins every candidate that has not joined yet at the
+// minimum pass among those that have (0 if none has), then returns the
+// positions in cands of the candidates with a gang and tickets, in
+// scheduling priority order: increasing pass, ties broken by larger
+// gang then lower ID. passes[i] is cands[i]'s pass. O(n log n).
+func OrderPasses(cands []Candidate, passes []*Pass) []int {
+	if len(cands) != len(passes) {
+		panic(fmt.Sprintf("stride: %d candidates, %d passes", len(cands), len(passes)))
+	}
+	if len(cands) == 0 {
+		return nil
+	}
+	minPass := 0.0
+	found := false
+	for _, p := range passes {
+		if p.joined && (!found || p.value < minPass) {
+			minPass = p.value
+			found = true
+		}
+	}
+	keys := make([]key, 0, len(cands))
+	for i, c := range cands {
+		p := passes[i]
+		if !p.joined {
+			p.value, p.joined = minPass, true
+		}
+		if c.Gang > 0 && c.Tickets > 0 {
+			keys = append(keys, key{pass: p.value, gang: c.Gang, id: c.ID, pos: i})
+		}
+	}
+	slices.SortFunc(keys, compareKeys)
+	out := make([]int, len(keys))
+	for i, k := range keys {
+		out[i] = k.pos
+	}
+	return out
+}
+
+// SelectPasses chooses the jobs to run for one round on a pool of
+// capacity identical GPUs, walking OrderPasses' order under mode, and
+// returns their positions in cands in placement-priority order (big
+// gangs first, then lower ID). It does not advance passes — Charge
+// what each selected job actually consumed.
+func SelectPasses(mode Mode, cands []Candidate, passes []*Pass, capacity int) []int {
+	if capacity <= 0 || len(cands) == 0 {
+		return nil
+	}
+	var selected []int
+	remaining := capacity
+	for _, i := range OrderPasses(cands, passes) {
+		if remaining == 0 {
+			break
+		}
+		if cands[i].Gang > remaining {
+			if mode == NaiveBlocking {
+				break
+			}
+			continue
+		}
+		selected = append(selected, i)
+		remaining -= cands[i].Gang
+	}
+	slices.SortFunc(selected, func(a, b int) int {
+		if ga, gb := cands[a].Gang, cands[b].Gang; ga != gb {
+			return cmp.Compare(gb, ga)
+		}
+		return cmp.Compare(cands[a].ID, cands[b].ID)
+	})
+	return selected
+}
+
+// Scheduler holds per-job pass state across rounds, one Pass per job
+// in a map. It is not safe for concurrent use; the simulation core
+// drives it from one goroutine.
 type Scheduler struct {
 	mode Mode
-	pass map[job.ID]float64
+	pass map[job.ID]*Pass
 }
 
 // New returns an empty scheduler in the given mode.
 func New(mode Mode) *Scheduler {
-	return &Scheduler{mode: mode, pass: make(map[job.ID]float64)}
+	return &Scheduler{mode: mode, pass: make(map[job.ID]*Pass)}
 }
 
 // Mode returns the selection discipline.
 func (s *Scheduler) Mode() Mode { return s.mode }
 
 // Pass returns a job's current pass value (0 for unknown jobs).
-func (s *Scheduler) Pass(id job.ID) float64 { return s.pass[id] }
-
-// Has reports whether the scheduler tracks the job.
-func (s *Scheduler) Has(id job.ID) bool {
-	_, ok := s.pass[id]
-	return ok
+func (s *Scheduler) Pass(id job.ID) float64 {
+	if p := s.pass[id]; p != nil {
+		return p.value
+	}
+	return 0
 }
 
 // Len returns the number of tracked jobs.
 func (s *Scheduler) Len() int { return len(s.pass) }
+
+// passes returns the candidates' passes, adding unknown jobs unjoined.
+func (s *Scheduler) passes(cands []Candidate) []*Pass {
+	out := make([]*Pass, len(cands))
+	for i, c := range cands {
+		p := s.pass[c.ID]
+		if p == nil {
+			p = &Pass{}
+			s.pass[c.ID] = p
+		}
+		out[i] = p
+	}
+	return out
+}
 
 // Select chooses the jobs to run for one round on a pool of capacity
 // identical GPUs. Jobs are considered in increasing pass order (ties:
@@ -101,38 +242,20 @@ func (s *Scheduler) Len() int { return len(s.pass) }
 // resources each selected job actually consumed. The returned slice
 // lists selected IDs in placement-priority order (big gangs first).
 func (s *Scheduler) Select(cands []Candidate, capacity int) []job.ID {
+	pos := s.SelectPositions(cands, capacity)
+	if len(pos) == 0 {
+		return nil
+	}
+	return ids(cands, pos)
+}
+
+// SelectPositions is Select returning positions in cands instead of
+// IDs (see SelectPasses).
+func (s *Scheduler) SelectPositions(cands []Candidate, capacity int) []int {
 	if capacity <= 0 || len(cands) == 0 {
 		return nil
 	}
-	order := s.Order(cands)
-	gangOf := make(map[job.ID]int, len(cands))
-	for _, c := range cands {
-		gangOf[c.ID] = c.Gang
-	}
-
-	var selected []job.ID
-	remaining := capacity
-	for _, id := range order {
-		if remaining == 0 {
-			break
-		}
-		if gangOf[id] > remaining {
-			if s.mode == NaiveBlocking {
-				break
-			}
-			continue
-		}
-		selected = append(selected, id)
-		remaining -= gangOf[id]
-	}
-	sort.Slice(selected, func(i, j int) bool {
-		gi, gj := gangOf[selected[i]], gangOf[selected[j]]
-		if gi != gj {
-			return gi > gj
-		}
-		return selected[i] < selected[j]
-	})
-	return selected
+	return SelectPasses(s.mode, cands, s.passes(cands), capacity)
 }
 
 // Order registers candidates (applying the same join rule as Select)
@@ -144,59 +267,26 @@ func (s *Scheduler) Order(cands []Candidate) []job.ID {
 	if len(cands) == 0 {
 		return nil
 	}
-	minPass := 0.0
-	found := false
-	for _, c := range cands {
-		if p, ok := s.pass[c.ID]; ok {
-			if !found || p < minPass {
-				minPass = p
-				found = true
-			}
-		}
-	}
-	for _, c := range cands {
-		if _, ok := s.pass[c.ID]; !ok {
-			s.pass[c.ID] = minPass
-		}
-	}
-	order := make([]Candidate, 0, len(cands))
-	for _, c := range cands {
-		if c.Gang > 0 && c.Tickets > 0 {
-			order = append(order, c)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		pi, pj := s.pass[order[i].ID], s.pass[order[j].ID]
-		if pi != pj {
-			return pi < pj
-		}
-		if order[i].Gang != order[j].Gang {
-			return order[i].Gang > order[j].Gang
-		}
-		return order[i].ID < order[j].ID
-	})
-	ids := make([]job.ID, len(order))
-	for i, c := range order {
-		ids[i] = c.ID
-	}
-	return ids
+	return ids(cands, OrderPasses(cands, s.passes(cands)))
 }
 
-// Charge advances a job's pass by the resources it consumed this
-// round: gang-GPU-seconds divided by its tickets. Charging an unknown
-// job, non-positive tickets, or negative resources panics — those are
-// core bugs, not runtime conditions.
+// ids maps positions in cands to candidate IDs.
+func ids(cands []Candidate, pos []int) []job.ID {
+	out := make([]job.ID, len(pos))
+	for i, p := range pos {
+		out[i] = cands[p].ID
+	}
+	return out
+}
+
+// Charge advances a job's pass (see Pass.Charge). Charging an unknown
+// job panics.
 func (s *Scheduler) Charge(id job.ID, gpuSeconds, tickets float64) {
-	if _, ok := s.pass[id]; !ok {
+	p := s.pass[id]
+	if p == nil {
 		panic(fmt.Sprintf("stride: Charge for unknown job %d", id))
 	}
-	if tickets <= 0 {
-		panic(fmt.Sprintf("stride: Charge job %d with tickets %v", id, tickets))
-	}
-	if gpuSeconds < 0 {
-		panic(fmt.Sprintf("stride: Charge job %d with negative resources", id))
-	}
-	s.pass[id] += gpuSeconds / tickets
+	p.Charge(gpuSeconds, tickets)
 }
 
 // Remove forgets a job (finished or cancelled). Removing an unknown
@@ -213,15 +303,16 @@ func (s *Scheduler) Rebase() {
 	min := 0.0
 	first := true
 	for _, p := range s.pass {
-		if first || p < min {
-			min = p
+		if first || p.value < min {
+			min = p.value
 			first = false
 		}
 	}
 	if min == 0 {
 		return
 	}
-	for id := range s.pass {
-		s.pass[id] -= min
+	// Walk in ID order so no float update follows map order.
+	for _, id := range job.SortedIDs(s.pass) {
+		s.pass[id].value -= min
 	}
 }

@@ -8,6 +8,9 @@ import (
 	"repro/internal/job"
 )
 
+// joinedAt is a pass that has joined its pool at value v.
+func joinedAt(v float64) *Pass { return &Pass{value: v, joined: true} }
+
 func TestSelectEmpty(t *testing.T) {
 	s := New(GangAware)
 	if got := s.Select(nil, 4); got != nil {
@@ -47,9 +50,9 @@ func TestSelectGangSkip(t *testing.T) {
 	// Capacity 3: a 4-GPU job at min pass cannot fit; gang-aware mode
 	// must keep going and schedule the 1-GPU jobs.
 	s := New(GangAware)
-	s.pass[10] = 0 // big job, min pass
-	s.pass[11] = 5
-	s.pass[12] = 5
+	s.pass[10] = joinedAt(0) // big job, min pass
+	s.pass[11] = joinedAt(5)
+	s.pass[12] = joinedAt(5)
 	cands := []Candidate{
 		{ID: 10, Gang: 4, Tickets: 1},
 		{ID: 11, Gang: 1, Tickets: 1},
@@ -68,8 +71,8 @@ func TestSelectGangSkip(t *testing.T) {
 
 func TestNaiveBlockingStopsAtBigJob(t *testing.T) {
 	s := New(NaiveBlocking)
-	s.pass[10] = 0
-	s.pass[11] = 5
+	s.pass[10] = joinedAt(0)
+	s.pass[11] = joinedAt(5)
 	cands := []Candidate{
 		{ID: 10, Gang: 4, Tickets: 1},
 		{ID: 11, Gang: 1, Tickets: 1},
@@ -82,8 +85,8 @@ func TestNaiveBlockingStopsAtBigJob(t *testing.T) {
 
 func TestJoinRule(t *testing.T) {
 	s := New(GangAware)
-	s.pass[1] = 100
-	s.pass[2] = 150
+	s.pass[1] = joinedAt(100)
+	s.pass[2] = joinedAt(150)
 	s.Select([]Candidate{
 		{ID: 1, Gang: 1, Tickets: 1},
 		{ID: 2, Gang: 1, Tickets: 1},
@@ -391,9 +394,9 @@ func TestPropertyTicketConvergence(t *testing.T) {
 
 func TestRebasePreservesOrder(t *testing.T) {
 	s := New(GangAware)
-	s.pass[1] = 1000
-	s.pass[2] = 1500
-	s.pass[3] = 1200
+	s.pass[1] = joinedAt(1000)
+	s.pass[2] = joinedAt(1500)
+	s.pass[3] = joinedAt(1200)
 	s.Rebase()
 	if s.Pass(1) != 0 || s.Pass(2) != 500 || s.Pass(3) != 200 {
 		t.Errorf("Rebase gave %v %v %v", s.Pass(1), s.Pass(2), s.Pass(3))
@@ -417,7 +420,7 @@ func TestPropertySelectValid(t *testing.T) {
 				Gang:    1 << rng.Intn(4),
 				Tickets: 1 + float64(rng.Intn(4)),
 			}
-			s.pass[cands[i].ID] = float64(rng.Intn(100))
+			s.pass[cands[i].ID] = joinedAt(float64(rng.Intn(100)))
 		}
 		capacity := 1 + rng.Intn(16)
 		sel := s.Select(cands, capacity)
