@@ -27,7 +27,7 @@ type Message interface{}
 //     duplicated or replayed delivery is detected and dropped. Zero
 //     means "unsequenced" — raw Transport.Send callers and old peers
 //     keep working, they just opt out of duplicate detection.
-//   - Sum is a checksum over the gob encoding of Msg (see Seal).
+//   - Sum is a checksum over the fields of Msg (see Checksum, Seal).
 //     Receivers call Verify before acting on a message, so payload
 //     corruption on the wire is detected and counted, never applied.
 //     Zero means "unsealed" and passes verification for the same

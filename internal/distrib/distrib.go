@@ -486,6 +486,8 @@ func NewCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig) (*Cent
 			cfg.Tickets[c.pending[i].User] = 1
 		}
 	}
+	// pending owns the specs now; the caller's slice is not retained.
+	c.cfg.Specs = nil
 	return c, nil
 }
 
@@ -925,6 +927,10 @@ func (c *Central) admit() error {
 		n++
 		c.pending = c.pending[1:]
 	}
+	if len(c.pending) == 0 {
+		// The re-slice above pins the drained specs' backing array.
+		c.pending = nil
+	}
 	c.cfg.Obs.NoteAdmitted(n)
 	return nil
 }
@@ -1008,8 +1014,9 @@ func (c *Central) runRound(round int) error {
 		jobs = append(jobs, j)
 	}
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
+	firstGen := c.cluster.GensPresent()[0]
 	for _, j := range jobs {
-		if c.prof.Samples(j.ID, c.cluster.GensPresent()[0]) == 0 {
+		if c.prof.Samples(j.ID, firstGen) == 0 {
 			c.prof.ProbeAll(j)
 		}
 	}
@@ -1219,8 +1226,12 @@ func (c *Central) runRound(round int) error {
 	o.PhaseEnd(obs.PhaseDispatch)
 	o.PhaseStart(obs.PhaseCollect)
 	progress := make(map[job.ID]comm.JobProgress)
+	// A stopped timer, not time.After: under go.mod's go 1.22 timer
+	// semantics an unfired After timer stays live for its full
+	// duration, so one per round would pile up at fast round rates.
 	//gflint:ignore wallclock straggler-cutoff deadline on a real transport, not simulated time
-	deadline := time.After(c.collectDeadline())
+	deadline := time.NewTimer(c.collectDeadline())
+	defer deadline.Stop()
 	for len(want) > 0 {
 		select {
 		case env, ok := <-c.tr.Recv():
@@ -1292,7 +1303,7 @@ func (c *Central) runRound(round int) error {
 				prev.UsedSecs += p.UsedSecs
 				progress[id] = prev
 			}
-		case <-deadline:
+		case <-deadline.C:
 			if c.cfg.StrictReports {
 				return fmt.Errorf("distrib: round %d: %d agents did not report", round, len(want))
 			}

@@ -226,6 +226,82 @@ func TestAgentFencesStaleEpochPlan(t *testing.T) {
 	}
 }
 
+// TestAgentDropsLatePreviousEpochPlan: a restored central salts its
+// sequence numbers with epoch<<32, so the agent's dedup window jumps
+// past every number the previous incarnation used. A plan from that
+// incarnation arriving late must still never be applied — whether
+// dedup drops it (it now lies below the window) or the epoch fence
+// does.
+func TestAgentDropsLatePreviousEpochPlan(t *testing.T) {
+	hub := comm.NewHub()
+	ctr, err := hub.Attach("central")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := hub.Attach("agent-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAgent(tr, "central", gpu.K80, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := obs.New()
+	a.SetObserver(ob)
+	done := make(chan error, 1)
+	go func() { done <- a.Run() }()
+	if _, ok := (<-ctr.Recv()).Msg.(comm.Register); !ok {
+		t.Fatal("expected Register first")
+	}
+
+	// One retrier per incarnation, salted the way Central salts its own.
+	old := comm.NewRetrier(comm.RetryPolicy{SeqBase: 1 << 32})
+	live := comm.NewRetrier(comm.RetryPolicy{SeqBase: 2 << 32})
+	send := func(r *comm.Retrier, round, epoch int) {
+		t.Helper()
+		// No lease, so each plan yields exactly one report (no backlog
+		// resends).
+		e := fencePlan(round, epoch)
+		plan := e.Msg.(comm.RoundPlan)
+		plan.Lease = 0
+		e.Msg = plan
+		if err := r.Send(ctr, "agent-0", e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantReport := func(round, epoch int) {
+		t.Helper()
+		rep, ok := (<-ctr.Recv()).Msg.(comm.RoundReport)
+		if !ok || rep.Round != round || rep.Epoch != epoch {
+			t.Fatalf("got %+v, want report for round %d epoch %d", rep, round, epoch)
+		}
+	}
+
+	for r := 1; r <= 3; r++ {
+		send(old, r, 1)
+		wantReport(r, 1)
+	}
+	send(live, 1, 2) // restored central takes over
+	wantReport(1, 2)
+	send(old, 4, 1) // the dead incarnation's late plan
+	send(live, 2, 2)
+	wantReport(2, 2)
+
+	if err := live.Send(ctr, "agent-0", comm.Envelope{From: "central", Msg: comm.Shutdown{}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	dropped := ob.ProtocolEvents("dup_dropped") + ob.ProtocolEvents("fence_reject")
+	if dropped != 1 {
+		t.Errorf("dup_dropped + fence_reject = %v, want 1 (the late plan)", dropped)
+	}
+	if n := ob.ProtocolEvents("plan_received"); n != 5 {
+		t.Errorf("plan_received = %v, want 5", n)
+	}
+}
+
 // TestCentralFencesStaleEpochReport exercises the central half of the
 // fence directly: reports from any epoch other than the central's own
 // are rejected; unfenced (epoch-0, legacy) reports pass.
