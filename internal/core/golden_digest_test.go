@@ -1,12 +1,15 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/simclock"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -220,6 +223,35 @@ func TestGoldenDigestLoaded(t *testing.T) {
 		}
 		if got != goldenLoadedDigest {
 			t.Errorf("engine=%v loaded digest = %s, want %s", mode, got, goldenLoadedDigest)
+		}
+	}
+}
+
+// goldenLoadedTrace is the SHA-256 of the loaded golden scenario's
+// event log as written by trace.Log.WriteCSV. The canonical digest
+// counts trace events but does not read their detail text; this pins
+// the text too (migration targets and costs, start generations).
+const goldenLoadedTrace = "69260be3963da3a03c79df7c66d447d1918dab7c6aa14046073c6898af8307b2"
+
+func TestGoldenTraceLoaded(t *testing.T) {
+	for _, mode := range []EngineMode{EngineIncremental, EngineRescan} {
+		sim, err := New(goldenLoadedConfig(t, mode), MustNewFairPolicy(FairConfig{EnableTrading: true}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(simclock.Time(loadedHours * simclock.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Log.Filter(trace.KindMigration)) == 0 || len(res.Log.Filter(trace.KindStart)) == 0 {
+			t.Fatalf("engine=%v: scenario logs no migrations or no starts", mode)
+		}
+		h := sha256.New()
+		if err := res.Log.WriteCSV(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != goldenLoadedTrace {
+			t.Errorf("engine=%v loaded trace sha256 = %s, want %s", mode, got, goldenLoadedTrace)
 		}
 	}
 }
