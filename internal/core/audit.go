@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/gpu"
 	"repro/internal/job"
-	"repro/internal/placement"
 	"repro/internal/simclock"
 )
 
@@ -61,8 +61,7 @@ func ParseAuditMode(s string) (AuditMode, error) {
 // Invariant names as they appear in AuditReport.Counts.
 const (
 	InvCapacity     = "capacity"     // placed gang width ≤ per-generation capacity net of failures
-	InvGang         = "gang"         // every gang fully placed on devices of a single generation it fits
-	InvDoublePlace  = "double-place" // no device assigned to two jobs in one round
+	InvGang         = "gang"         // every gang fully placed on devices of a generation it fits
 	InvDownServer   = "down-server"  // no placed device sits on a failed server
 	InvTickets      = "tickets"      // runtime ticket state stays non-negative
 	InvConservation = "conservation" // charged GPU-seconds per round ≤ capacity × quantum, per generation
@@ -158,6 +157,11 @@ type auditor struct {
 	now     simclock.Time
 	caps    map[gpu.Generation]int
 	busyGen map[gpu.Generation]float64
+
+	// owner stamps each device with the position that claimed it in
+	// the latest checkAssignment (see claimBase); sized once.
+	owner     []uint32
+	nextClaim uint32
 }
 
 func newAuditor(mode AuditMode, cluster *gpu.Cluster, quantum simclock.Duration) *auditor {
@@ -203,39 +207,52 @@ func (a *auditor) beginRound(round int, now simclock.Time, caps map[gpu.Generati
 	}
 }
 
-// checkAssignment audits the concrete device placement of one round:
-// gang integrity, capacity, double placement, and failed servers.
-func (a *auditor) checkAssignment(asg placement.Assignment, active map[job.ID]*job.Job, down, quarantined map[gpu.ServerID]bool) {
-	if !a.on() {
-		return
-	}
-	used := make(map[gpu.DeviceID]job.ID, len(asg))
-	width := make(map[gpu.Generation]int)
-	for id, devs := range asg {
-		j := active[id]
-		if j == nil {
-			a.violate(InvGang, "job %d placed but not active", id)
-			continue
+// checkAssignment is the round's one check of the concrete device
+// placement. It walks the placed positions (ascending, so in job-ID
+// order) with slots[p].devs the devices of jobs[p].
+//
+// Structural breaks — a job with no devices, an unknown device, a gang
+// mixing generations, a device held twice — make the round
+// meaningless, so they return an error in every audit mode, AuditOff
+// included, and the engine aborts the round. The invariants (gang
+// width, fits-on, failed and quarantined servers, capacity) are
+// recorded as violations when auditing is on.
+func (a *auditor) checkAssignment(jobs []*job.Job, slots []roundSlot, placed []int32, down, quarantined map[gpu.ServerID]bool) error {
+	on := a.on()
+	base := a.claimBase(len(jobs))
+	var width [gpu.NumGenerations]int
+	for _, p := range placed {
+		j, devs := jobs[p], slots[p].devs
+		id := j.ID
+		if len(devs) == 0 {
+			return fmt.Errorf("placement: job %d assigned zero devices", id)
 		}
-		a.rep.Checks++
-		if len(devs) != j.Gang {
-			a.violate(InvGang, "job %d holds %d devices, gang is %d", id, len(devs), j.Gang)
+		for _, d := range devs {
+			if int(d) < 0 || int(d) >= a.cluster.NumDevices() {
+				return fmt.Errorf("placement: job %d holds unknown device %d", id, d)
+			}
 		}
-		var gen gpu.Generation
-		if len(devs) > 0 {
-			gen = a.cluster.Device(devs[0]).Gen
-			width[gen] += len(devs)
+		gen := a.cluster.Device(devs[0]).Gen
+		width[gen] += len(devs)
+		if on {
+			a.rep.Checks++
+			if len(devs) != j.Gang {
+				a.violate(InvGang, "job %d holds %d devices, gang is %d", id, len(devs), j.Gang)
+			}
 		}
 		for _, d := range devs {
 			dev := a.cluster.Device(d)
-			a.rep.Checks++
 			if dev.Gen != gen {
-				a.violate(InvGang, "job %d spans generations %v and %v", id, gen, dev.Gen)
+				return fmt.Errorf("placement: job %d mixes generations", id)
 			}
-			if prev, dup := used[d]; dup {
-				a.violate(InvDoublePlace, "device %d held by jobs %d and %d", d, prev, id)
+			if o := a.owner[d]; o > base {
+				return fmt.Errorf("placement: device %d assigned to jobs %d and %d", d, jobs[o-base-1].ID, id)
 			}
-			used[d] = id
+			a.owner[d] = base + uint32(p) + 1
+			if !on {
+				continue
+			}
+			a.rep.Checks++
 			if down[dev.Server] {
 				a.violate(InvDownServer, "job %d placed on failed server %d (device %d)", id, dev.Server, d)
 			}
@@ -243,16 +260,41 @@ func (a *auditor) checkAssignment(asg placement.Assignment, active map[job.ID]*j
 				a.violate(InvQuarantine, "job %d placed on quarantined server %d (device %d)", id, dev.Server, d)
 			}
 		}
-		if len(devs) > 0 && !j.Perf.FitsOn(gen) {
+		if on && !j.Perf.FitsOn(gen) {
 			a.violate(InvGang, "job %d (%s) placed on unusable generation %v", id, j.Perf.Model, gen)
 		}
 	}
+	if !on {
+		return nil
+	}
 	for g, w := range width {
+		if w == 0 {
+			continue
+		}
 		a.rep.Checks++
-		if w > a.caps[g] {
-			a.violate(InvCapacity, "%d GPUs placed on %v, capacity %d", w, g, a.caps[g])
+		if c := a.caps[gpu.Generation(g)]; w > c {
+			a.violate(InvCapacity, "%d GPUs placed on %v, capacity %d", w, gpu.Generation(g), c)
 		}
 	}
+	return nil
+}
+
+// claimBase starts one check's device claims over n job positions.
+// Position p claims device d by setting owner[d] = base+p+1, so
+// owner[d] > base means d was already claimed in this check; values
+// from earlier checks are all ≤ base, and the array is never cleared
+// except when the stamps would wrap.
+func (a *auditor) claimBase(n int) uint32 {
+	if a.owner == nil {
+		a.owner = make([]uint32, a.cluster.NumDevices())
+	}
+	if uint64(a.nextClaim)+uint64(n) > math.MaxUint32 {
+		clear(a.owner)
+		a.nextClaim = 0
+	}
+	base := a.nextClaim
+	a.nextClaim += uint32(n)
+	return base
 }
 
 // noteExec audits one job's execution accounting and accrues the

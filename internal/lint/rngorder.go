@@ -18,9 +18,9 @@ import (
 //
 // Scope: method calls on math/rand types (a seeded stream; the global
 // top-level funcs are globalrand's department) and the module-internal
-// shared-RNG consumers (profiler.Observe/ProbeAll). The analysis is
-// lexical and intra-procedural: a named function launched with go is
-// not followed into.
+// shared-RNG consumers (profiler.Observe/ProbeAll/ObserveOrProbe). The
+// analysis is lexical and intra-procedural: a named function launched
+// with go is not followed into.
 var RngOrderAnalyzer = &Analyzer{
 	Name: "rngorder",
 	Doc:  "seeded RNG draws inside goroutines, sort comparators, or map-range bodies (execution order reassigns the stream's samples)",

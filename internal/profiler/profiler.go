@@ -65,6 +65,12 @@ func MustNew(alpha, noiseStd float64, seed int64) *Profiler {
 // generation the job does not fit panics — the placement layer must
 // never run it there.
 func (p *Profiler) Observe(j *job.Job, g gpu.Generation) {
+	p.observe(p.recs[j.ID], j, g)
+}
+
+// observe is Observe given j's record r (nil when j has none yet). It
+// returns the record, created on first use.
+func (p *Profiler) observe(r *record, j *job.Job, g gpu.Generation) *record {
 	if !j.Perf.FitsOn(g) {
 		panic(fmt.Sprintf("profiler: observe job %d on unusable generation %v", j.ID, g))
 	}
@@ -73,7 +79,6 @@ func (p *Profiler) Observe(j *job.Job, g gpu.Generation) {
 	if measured <= 0 {
 		measured = truth * 0.01 // measurement noise cannot produce a nonpositive rate
 	}
-	r := p.recs[j.ID]
 	if r == nil {
 		r = &record{}
 		p.recs[j.ID] = r
@@ -84,17 +89,35 @@ func (p *Profiler) Observe(j *job.Job, g gpu.Generation) {
 		r.rate[g] = (1-p.alpha)*r.rate[g] + p.alpha*measured
 	}
 	r.samples[g]++
+	return r
 }
 
 // ProbeAll takes one measurement on every generation the job fits,
 // modeling the paper's initial micro-profiling pass (a few
 // minibatches on each GPU type when the job first runs).
 func (p *Profiler) ProbeAll(j *job.Job) {
-	for _, g := range gpu.Generations() {
+	p.probeAll(p.recs[j.ID], j)
+}
+
+func (p *Profiler) probeAll(r *record, j *job.Job) {
+	for g := gpu.Generation(0); int(g) < gpu.NumGenerations; g++ {
 		if j.Perf.FitsOn(g) {
-			p.Observe(j, g)
+			r = p.observe(r, j, g)
 		}
 	}
+}
+
+// ObserveOrProbe measures a job that just ran a quantum on g: the
+// first time it runs on g, ProbeAll; afterwards, Observe on g. It
+// looks the job's record up once and draws noise in the same order as
+// those two calls.
+func (p *Profiler) ObserveOrProbe(j *job.Job, g gpu.Generation) {
+	r := p.recs[j.ID]
+	if r == nil || !g.Valid() || r.samples[g] == 0 {
+		p.probeAll(r, j)
+		return
+	}
+	p.observe(r, j, g)
 }
 
 // Rate returns the estimated per-GPU rate of job id on g and whether

@@ -179,3 +179,39 @@ func TestDeterminism(t *testing.T) {
 		t.Error("same seed produced different estimates")
 	}
 }
+
+// TestObserveOrProbeMatchesTwoCalls drives two profilers with the same
+// seed: one through ObserveOrProbe, the other through the two calls it
+// replaces. Estimates and the noise stream must stay identical.
+func TestObserveOrProbeMatchesTwoCalls(t *testing.T) {
+	one, two := MustNew(0.25, 0.05, 7), MustNew(0.25, 0.05, 7)
+	jobs := []*job.Job{testJob("resnet50", 1), testJob("vae", 2), testJob("dcgan", 3)}
+	gens := []gpu.Generation{gpu.K80, gpu.V100, gpu.P100, gpu.K80, gpu.P40, gpu.V100}
+	for step := 0; step < 60; step++ {
+		j := jobs[step%len(jobs)]
+		g := gens[(step/len(jobs)+int(j.ID))%len(gens)]
+		if !j.Perf.FitsOn(g) {
+			continue
+		}
+		one.ObserveOrProbe(j, g)
+		if two.Samples(j.ID, g) == 0 {
+			two.ProbeAll(j)
+		} else {
+			two.Observe(j, g)
+		}
+		if step == 30 {
+			one.Remove(2)
+			two.Remove(2)
+		}
+	}
+	for _, j := range jobs {
+		r1, s1 := one.Estimates(j.ID)
+		r2, s2 := two.Estimates(j.ID)
+		if r1 != r2 || s1 != s2 {
+			t.Fatalf("job %d: ObserveOrProbe %v %v, two calls %v %v", j.ID, r1, s1, r2, s2)
+		}
+	}
+	if a, b := one.rng.Float64(), two.rng.Float64(); a != b {
+		t.Fatalf("noise streams diverged: %v vs %v", a, b)
+	}
+}
