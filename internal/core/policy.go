@@ -29,9 +29,12 @@ type RoundState struct {
 	Cluster *gpu.Cluster
 
 	// Jobs lists all runnable (arrived, unfinished) jobs in ID order.
-	// Policies must not mutate them, and must not retain the slice
-	// past Decide — the engine reuses its backing array every round.
-	//gflint:noretain backing array reused by the engine every round
+	// It is the engine's own job list, not a copy: policies must not
+	// mutate the jobs, must not write to, reorder or sort the slice
+	// (the engine finds jobs in it by binary search on ID and indexes
+	// its per-round state by position), and must not retain it past
+	// Decide — the engine edits it on admission and retirement.
+	//gflint:noretain the engine's live job list, edited every round
 	Jobs []*job.Job
 
 	// Tickets are the per-user fair-share weights.
